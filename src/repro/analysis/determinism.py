@@ -5,8 +5,9 @@ metrics artifacts. Three things silently break it:
 
 - **wall-clock reads** (``time.time()``, ``time.monotonic()``,
   ``datetime.now()``, …) anywhere virtual time should flow — ET301. The
-  thread-backed :class:`~repro.serving.server.AsyncServer` is the one
-  designated timing boundary and carries inline suppressions.
+  live server clock of :class:`~repro.serving.lifecycle.RequestLifecycle`
+  (and the pool's replica start-up wait) is the one designated timing
+  boundary and carries inline suppressions.
 - **unseeded randomness** (``np.random.default_rng()`` with no seed, the
   legacy ``np.random.*`` module-level functions, stdlib ``random.*``) —
   ET302, enforced across the whole package: any draw not derived from an

@@ -4,7 +4,11 @@ The static counterpart of ``tools/check_trace.py``'s lifecycle validator:
 every request the recorder ``admit``-s must reach a terminal
 ``complete``/``reject`` event (``rebook`` re-opens it on a surviving
 replica). ``check_trace.py`` proves this per run; this pass proves the
-*code* cannot do otherwise:
+*code* cannot do otherwise. The request-scoped kinds are all emitted by
+:class:`~repro.serving.lifecycle.RequestLifecycle`, the one lifecycle
+the scheduler, thread and pool backends share; the pool's executor emits
+only ``worker_death``/``rebook`` and the other batch- and tenant-scoped
+kinds:
 
 - **ET701** — a class (or module) that emits ``admit`` but whose
   call-graph closure never emits a terminal event can only produce open

@@ -1,11 +1,13 @@
 """Pass 4 — a lightweight race detector for the serving layer's shared state.
 
-The serving contract (DESIGN.md §7/§8) is that :class:`AsyncServer` owns
-one condition/lock and every mutation of its shared state — its own
-attributes *and* its deliberately lock-less collaborators
-(:class:`MetricsRegistry`, the tracer store) — happens while holding it;
-the deterministic :class:`Scheduler` is single-threaded and stays
-lock-free by design. The replica pool's parent-side classes
+The serving contract (DESIGN.md §7/§8) is that
+:class:`~repro.serving.lifecycle.RequestLifecycle` — the request
+lifecycle all three backends share — owns one condition, and every
+mutation of its shared state — its own attributes *and* its deliberately
+lock-less collaborators (:class:`MetricsRegistry`, the tracer store) —
+happens while holding it. The virtual-time path takes that condition
+uncontended, so the rule is checked once for every backend. The replica
+pool's executor classes
 (:class:`~repro.serving.pool.server.PoolServer`,
 :class:`~repro.serving.pool.router.Router`,
 :class:`~repro.serving.pool.router.AdmissionController`) each own a
@@ -22,8 +24,8 @@ checkable half of that contract:
   under the owner's lock too — ET402.
 
 Classes without a lock attribute are skipped: they either are
-single-threaded by design (Scheduler) or rely on an owner's lock, which
-is exactly what ET402 checks from the owner's side.
+single-threaded by design or rely on an owner's lock (the request queue,
+the registry), which is exactly what ET402 checks from the owner's side.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Flight recorder: typed, deterministic lifecycle events for the pool.
 
-Every serving driver (the virtual-time :class:`~repro.serving.scheduler.
+Every serving backend (the virtual-time :class:`~repro.serving.scheduler.
 Scheduler`, the thread-backed :class:`~repro.serving.server.AsyncServer`,
 the multi-process :class:`~repro.serving.pool.server.PoolServer`) emits
-one :class:`Event` per lifecycle transition of a request or batch::
+one :class:`Event` per lifecycle transition of a request or batch — the
+request-scoped ones all from the shared
+:class:`~repro.serving.lifecycle.RequestLifecycle`::
 
     admit ──> enqueue ──> batch_formed ──> dispatch ──> exec ──> complete
       └─> reject / quota_reject                └─> steal / worker_death / rebook
@@ -17,8 +19,8 @@ time*, not emission order, which makes logs comparable across worker
 counts (the per-rid lifecycle is invariant; only batch composition and
 replica placement may differ).
 
-The default recorder everywhere is :data:`NULL_EVENT_LOG`; call sites
-guard emission with ``events.enabled`` exactly like the tracer, so the
+The default recorder everywhere is :data:`NULL_EVENT_LOG`; the lifecycle
+guards emission with ``events.enabled`` exactly like the tracer, so the
 hot path pays one attribute read when the recorder is off and reported
 numbers are identical either way.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 EVENT_KINDS = (
     "admit",         # request arrived at admission control (rid)
     "enqueue",       # request entered the shared queue (rid)
-    "reject",        # backpressure rejection at admission (rid)
+    "reject",        # request turned away or failed (rid, detail)
     "quota_reject",  # per-tenant quota rejection (rid, tenant)
     "batch_formed",  # batcher closed a bucket into a batch (batch_id)
     "dispatch",      # batch handed to a worker/replica (batch_id, replica)

@@ -6,25 +6,22 @@ The pipeline (ISSUE 1 / the ROADMAP's traffic-scaling track)::
     (admit / reject)   (length buckets aligned      (Engine.run_batch,
                         to the OTF crossover)        cost-model service)
 
-Two drivers share every stage:
+One :class:`~repro.serving.lifecycle.RequestLifecycle` runs admission,
+batching and settlement (metrics, tracer, flight recorder) for every
+backend; the backends differ only in how they execute batches:
 
-- :class:`~repro.serving.scheduler.Scheduler` — deterministic virtual-time
-  simulation (the ``loadgen`` CLI and the serving benches).
-- :class:`~repro.serving.server.AsyncServer` — thread-backed futures API
-  (the ``serve`` CLI).
-- :class:`~repro.serving.pool.PoolServer` — multi-process replica pool
-  behind the same futures API (``serve``/``loadgen --workers N``):
-  shared-memory read-only weights, a load-aware router with work
-  stealing, and per-tenant admission quotas (see
-  :mod:`repro.serving.pool`).
-
-Both drivers accept a :class:`~repro.obs.trace.Tracer` to collect the
-request → batch → layer → kernel span tree (see :mod:`repro.obs`); the
-default :class:`~repro.obs.trace.NullTracer` keeps the hot path unchanged.
+- :class:`~repro.serving.scheduler.Scheduler` — deterministic virtual
+  time (the ``loadgen`` CLI and the serving benches);
+- :class:`~repro.serving.server.AsyncServer` — engine threads behind a
+  futures API (the ``serve`` CLI);
+- :class:`~repro.serving.pool.PoolServer` — replica processes sharing
+  read-only weights behind the same API (``serve``/``loadgen --workers
+  N``; see :mod:`repro.serving.pool`).
 """
 
 from repro.serving.batcher import Batch, DynamicBatcher
 from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
+from repro.serving.lifecycle import REJECT_DETAILS, RequestLifecycle
 from repro.serving.loadgen import (
     LoadgenResult,
     LoadgenSpec,
@@ -41,7 +38,7 @@ from repro.serving.pool import (
 )
 from repro.serving.queue import QueueClosedError, QueueFullError, RequestQueue
 from repro.serving.request import Request, Response, ResponseStatus
-from repro.serving.scheduler import EngineWorker, Scheduler, SchedulerConfig
+from repro.serving.scheduler import EngineWorker, Scheduler
 from repro.serving.server import AsyncServer
 
 __all__ = [
@@ -58,13 +55,14 @@ __all__ = [
     "QueueClosedError",
     "QueueFullError",
     "QuotaExceededError",
+    "REJECT_DETAILS",
     "Request",
+    "RequestLifecycle",
     "RequestQueue",
     "Response",
     "ResponseStatus",
     "Router",
     "Scheduler",
-    "SchedulerConfig",
     "build_engine",
     "make_policy",
     "make_slo_policy",

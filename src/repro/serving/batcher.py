@@ -30,11 +30,6 @@ class Batch:
         """Number of requests in the batch."""
         return len(self.requests)
 
-    @property
-    def oldest_arrival_us(self) -> float:
-        """Arrival time of the longest-waiting member."""
-        return min(r.arrival_us for r in self.requests)
-
 
 @dataclass
 class DynamicBatcher:
@@ -60,13 +55,12 @@ class DynamicBatcher:
     def _bucket_state(self, queue: RequestQueue
                       ) -> list[tuple[int, int, float]]:
         """(bucket, count, oldest_arrival) for each non-empty bucket."""
-        counts = queue.counts(self.bucket_of)
-        out = []
-        for bucket in sorted(counts):
-            oldest = queue.oldest_arrival(
-                lambda r, b=bucket: self.bucket_of(r) == b)
-            out.append((bucket, counts[bucket], oldest))
-        return out
+        state: dict[int, tuple[int, float]] = {}
+        for req in queue:
+            bucket = self.bucket_of(req)
+            count, oldest = state.get(bucket, (0, req.arrival_us))
+            state[bucket] = (count + 1, min(oldest, req.arrival_us))
+        return [(b, *state[b]) for b in sorted(state)]
 
     def next_deadline_us(self, queue: RequestQueue) -> float | None:
         """Earliest time any pending bucket becomes overdue (None if empty).

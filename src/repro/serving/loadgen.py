@@ -24,10 +24,11 @@ import numpy as np
 from repro.config import BERT_BASE, DISTILBERT, TRANSFORMER_WT2, ModelConfig, \
     small_config
 from repro.eval.format import percentile_rows, render_table
-from repro.obs.events import EventLog
+from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.slo import SloPolicy
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pruning import PruneMethod
+from repro.runtime.engine import Engine
 from repro.runtime.plan import PLAN_CACHE
 from repro.runtime import (
     EncoderWeights,
@@ -40,7 +41,7 @@ from repro.serving.batcher import DynamicBatcher
 from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.request import Request, Response
-from repro.serving.scheduler import EngineWorker, Scheduler, SchedulerConfig
+from repro.serving.scheduler import EngineWorker, Scheduler
 
 ENGINE_CLASSES = {
     "et": ETEngine,
@@ -132,6 +133,19 @@ def build_payloads(spec: LoadgenSpec) -> dict[int, np.ndarray]:
             for s in sequence_lengths(spec)}
 
 
+def serving_setup(spec: LoadgenSpec
+                  ) -> tuple[Engine, dict[int, np.ndarray], int, BucketPolicy]:
+    """``(engine, payloads, crossover, policy)``: what every backend serving
+    ``spec`` is built from — the policy's buckets align to the crossover."""
+    cfg = spec.model_config()
+    engine = build_engine(spec)
+    payloads = build_payloads(spec)
+    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
+                                device=engine.device)
+    return (engine, payloads, crossover,
+            make_policy(spec.policy, crossover, max(payloads)))
+
+
 def open_loop_arrivals(spec: LoadgenSpec,
                        payloads: dict[int, np.ndarray],
                        slo: SloPolicy | None = None) -> list[Request]:
@@ -153,6 +167,16 @@ def open_loop_arrivals(spec: LoadgenSpec,
     return out
 
 
+def request_mix(spec: LoadgenSpec,
+                payloads: dict[int, np.ndarray]) -> list[np.ndarray]:
+    """The seeded payload sequence, in rid order: the closed loop's
+    requests, and what live backends are fed (``seed + 1`` draws lengths)."""
+    rng = np.random.default_rng(spec.seed + 1)
+    lens = list(payloads)
+    chosen = rng.choice(len(lens), size=spec.num_requests)
+    return [payloads[lens[chosen[i]]] for i in range(spec.num_requests)]
+
+
 def closed_loop_driver(spec: LoadgenSpec, payloads: dict[int, np.ndarray],
                        slo: SloPolicy | None = None):
     """Initial requests + follow-up callback for closed-loop load.
@@ -161,9 +185,7 @@ def closed_loop_driver(spec: LoadgenSpec, payloads: dict[int, np.ndarray],
     the previous one terminates (served or rejected); the request budget
     is split round-robin across clients.
     """
-    rng = np.random.default_rng(spec.seed + 1)
-    lens = list(payloads)
-    chosen = rng.choice(len(lens), size=spec.num_requests)
+    mix = request_mix(spec, payloads)
     n_clients = max(1, min(spec.clients, spec.num_requests))
     issued = [0] * n_clients  # per-client requests issued so far
     budget = [spec.num_requests // n_clients] * n_clients
@@ -172,11 +194,10 @@ def closed_loop_driver(spec: LoadgenSpec, payloads: dict[int, np.ndarray],
 
     def make(client: int, rid: int, arrival_us: float) -> Request:
         issued[client] += 1
-        s = lens[chosen[rid]]
-        return Request(rid=rid, x=payloads[s],
-                       arrival_us=arrival_us, client=client,
+        x = mix[rid]
+        return Request(rid=rid, x=x, arrival_us=arrival_us, client=client,
                        deadline_us=None if slo is None
-                       else slo.deadline_us(s, arrival_us))
+                       else slo.deadline_us(len(x), arrival_us))
 
     initial = [make(c, c, 0.0) for c in range(n_clients)]
     next_rid = [n_clients]
@@ -221,26 +242,17 @@ def run_loadgen(spec: LoadgenSpec,
     the report is byte-identical to an uninstrumented run — observation
     never changes a reported number.
     """
-    cfg = spec.model_config()
-    engine = build_engine(spec)
-    payloads = build_payloads(spec)
-    crossover = model_crossover(cfg.num_heads, cfg.d_head,
-                                max(payloads), device=engine.device)
-    policy = make_policy(spec.policy, crossover, max(payloads))
+    engine, payloads, crossover, policy = serving_setup(spec)
     slo = make_slo_policy(spec, engine, policy)
     batcher = DynamicBatcher(policy, max_batch=spec.max_batch,
                              max_wait_us=spec.max_wait_us)
     workers = [EngineWorker(engine, memoize_by_len=True, packed=spec.packed)
                for _ in range(spec.workers)]
     sched = Scheduler(
-        workers=workers, batcher=batcher,
-        config=SchedulerConfig(max_batch=spec.max_batch,
-                               max_wait_us=spec.max_wait_us,
-                               max_depth=spec.max_depth),
-        tracer=tracer if tracer is not None else NullTracer(),
+        workers, batcher, max_depth=spec.max_depth,
+        tracer=tracer if tracer is not None else NULL_TRACER,
+        events=events if events is not None else NULL_EVENT_LOG,
     )
-    if events is not None:
-        sched.events = events
     if spec.mode == "closed":
         initial, follow_up = closed_loop_driver(spec, payloads, slo=slo)
         responses = sched.run(initial, next_request=follow_up)

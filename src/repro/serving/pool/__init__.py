@@ -11,11 +11,8 @@ admission quotas. :class:`PoolServer` exposes the whole thing behind the
 flag.
 """
 
-from repro.serving.pool.driver import (
-    build_pool_server,
-    drive_server,
-    request_mix,
-)
+from repro.serving.loadgen import request_mix
+from repro.serving.pool.driver import build_pool_server, drive_server
 from repro.serving.pool.router import (
     AdmissionController,
     QuotaExceededError,

@@ -18,25 +18,18 @@ and :func:`drive_server` is backend-agnostic — both servers share the
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
-from repro.serving.loadgen import (
-    LoadgenSpec,
-    build_engine,
-    build_payloads,
-    make_slo_policy,
-)
+from repro.serving.bucketing import BucketPolicy
+from repro.serving.lifecycle import LiveServer
+from repro.serving.loadgen import LoadgenSpec, make_slo_policy, \
+    request_mix, serving_setup
 from repro.serving.pool.server import PoolServer
 from repro.serving.queue import QueueFullError
 from repro.serving.request import Response
-
-if TYPE_CHECKING:
-    from repro.serving.server import AsyncServer
 
 
 def build_pool_server(
@@ -53,12 +46,7 @@ def build_pool_server(
     started. The loadgen payload table is handed to the replicas so
     steady-state tasks ship sequence-length references, not arrays.
     """
-    cfg = spec.model_config()
-    engine = build_engine(spec)
-    payloads = build_payloads(spec)
-    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
-                                device=engine.device)
-    policy = make_policy(spec.policy, crossover, max(payloads))
+    engine, payloads, crossover, policy = serving_setup(spec)
     server = PoolServer(
         engine, policy, n_workers=n_workers, max_batch=spec.max_batch,
         max_wait_us=spec.max_wait_us, max_depth=spec.max_depth,
@@ -70,21 +58,7 @@ def build_pool_server(
     return server, payloads, policy, crossover
 
 
-def request_mix(spec: LoadgenSpec,
-                payloads: dict[int, np.ndarray]) -> list[np.ndarray]:
-    """The seeded payload sequence every backend serves, in submit order.
-
-    Seeded identically to the loadgen arrival processes (``seed + 1``
-    draws the length mix), so live runs serve the same work the
-    virtual-time scheduler replays.
-    """
-    rng = np.random.default_rng(spec.seed + 1)
-    lens = list(payloads)
-    chosen = rng.choice(len(lens), size=spec.num_requests)
-    return [payloads[lens[chosen[i]]] for i in range(spec.num_requests)]
-
-
-def drive_server(server: "PoolServer | AsyncServer", spec: LoadgenSpec,
+def drive_server(server: LiveServer, spec: LoadgenSpec,
                  payloads: dict[int, np.ndarray],
                  timeout_s: float = 300.0) -> list[Response]:
     """Push the seeded mix through a *started* server; returns responses.

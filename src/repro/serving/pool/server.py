@@ -2,54 +2,56 @@
 
 :class:`PoolServer` is the process-pool twin of
 :class:`~repro.serving.server.AsyncServer`: same ``start``/``stop``/
-``submit``/``depth``/``metrics_text`` surface, same dynamic batcher and
-bounded queue, but batches execute on replica *processes* that share one
-read-only weight segment (:mod:`repro.runtime.shm`) instead of engine
-threads contending on the GIL.
+``submit``/``depth``/``metrics_text`` surface and the same shared
+:class:`~repro.serving.lifecycle.RequestLifecycle` (admission, batch
+formation, settlement, telemetry), but batches execute on replica
+*processes* that share one read-only weight segment
+(:mod:`repro.runtime.shm`) instead of engine threads contending on the GIL.
 
 Division of labour (three parent threads, N replica processes):
 
-- the **dispatcher** thread forms length-bucketed batches and books each
-  one onto the least-loaded replica through the
+- the **dispatcher** thread takes each formed batch from the lifecycle
+  and books it onto the least-loaded replica through the
   :class:`~repro.serving.pool.router.Router`;
 - :meth:`_feed` (run by dispatcher *and* collector) moves booked batches
   from router backlogs into replica task pipes, at most
   ``pipeline_depth`` in flight per replica — batches still in a backlog
   remain stealable, which is how seqLen-bucket skew resolves;
 - the **collector** thread consumes one shared result queue: it settles
-  router accounting, resolves futures, folds replica plan-cache counters
-  into the metrics registry, merges traced kernel records into the
-  parent tracer under the replica's worker track, and reaps dead
-  replicas (their unfinished batches are re-booked onto survivors, or
-  rejected when none remain).
+  router accounting, hands each result to the lifecycle (which resolves
+  the futures and traces the members' timelines on the replica's worker
+  track), folds replica plan-cache counters into the metrics, and
+  reaps dead replicas (their unfinished batches are re-booked onto
+  survivors, or shed when none remain).
 
 Clock convention matches the AsyncServer: arrival/dispatch stamps are
-wall clock (this is a designated timing boundary), service time stays in
-cost-model microseconds. Responses are bitwise-identical to the
-AsyncServer's because engine outputs depend only on the input sequence —
-never on batch composition, replica identity, or worker count.
+wall clock on the lifecycle's clock, service time stays in cost-model
+microseconds. Responses are bitwise-identical to the AsyncServer's
+because engine outputs depend only on the input sequence — never on
+batch composition, replica identity, or worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import queue as std_queue
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from multiprocessing import get_context
 
 import numpy as np
 
-from repro.gpu.counters import Timeline
 from repro.obs.events import NULL_EVENT_LOG, EventLog
-from repro.obs.prometheus import pool_prometheus_text, prometheus_text
+from repro.obs.prometheus import pool_prometheus_text
 from repro.obs.slo import SloPolicy
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.engine import Engine, EngineResult
+from repro.runtime.engine import Engine
 from repro.runtime.shm import SharedWeightStore, segment_exists
 from repro.serving.batcher import Batch, DynamicBatcher
 from repro.serving.bucketing import BucketPolicy
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.lifecycle import LiveServer, RequestLifecycle
 from repro.serving.pool.router import (
     AdmissionController,
     QuotaExceededError,
@@ -63,12 +65,10 @@ from repro.serving.pool.worker import (
     WorkerHello,
     replica_main,
 )
-from repro.serving.queue import RequestQueue
-from repro.serving.request import Request, Response, ResponseStatus
-from repro.serving.scheduler import trace_batch
+from repro.serving.request import Response
 
 
-class PoolServer:
+class PoolServer(LiveServer):
     """Futures-based serving loop over a pool of replica processes."""
 
     def __init__(
@@ -97,82 +97,62 @@ class PoolServer:
             raise ValueError(
                 f"pipeline_depth must be positive: {pipeline_depth}")
         self.engine = engine  # parent-side: weights, name, cost pricing
-        self.policy = policy
         self.n_workers = n_workers
-        self.tracer = tracer
         self.events = events
-        self.slo = slo
+        self.core = RequestLifecycle(
+            engine, DynamicBatcher(policy, max_batch=max_batch,
+                                   max_wait_us=max_wait_us),
+            max_depth=max_depth, tracer=tracer, events=events, slo=slo)
         self.payload_table = payload_table
         self.packed = packed
         self.memoize_by_len = memoize_by_len
         self.pipeline_depth = pipeline_depth
         self.return_outputs = return_outputs
         self.start_timeout_s = start_timeout_s
-        self.metrics = MetricsRegistry()
         self.worker_deaths = 0
         self.shm_bytes = 0
         self._segment_name: str | None = None
         #: Latest cumulative per-replica counters shipped over IPC.
         self._replica_counters: dict[int, dict[str, float]] = {}
-        self._queue = RequestQueue(max_depth=max_depth)
-        self._batcher = DynamicBatcher(policy, max_batch=max_batch,
-                                       max_wait_us=max_wait_us)
         self._admission = AdmissionController(
             max_inflight_per_tenant=max_inflight_per_tenant,
             quotas=tenant_quotas)
         self._ctx = get_context("spawn")  # safe beside parent threads
         self._work = threading.Condition()
-        self._price_lock = threading.Lock()
-        self._prices: dict[int, float] = {}
         self._router: Router | None = None
         self._store: SharedWeightStore | None = None
         self._task_qs: dict[int, object] = {}
         self._result_q: object | None = None
         self._procs: dict[int, object] = {}
-        self._futures: dict[int, Future] = {}
         #: batch_id -> (replica, batch, dispatch stamp) for in-pipe batches
         self._sent: dict[int, tuple[int, Batch, float]] = {}
-        self._inpipe: dict[int, int] = {}
-        self._goodbyes: dict[int, WorkerGoodbye] = {}
-        self._next_rid = 0
-        self._running = False
         self._collecting = False
         self._stopping = False  # replicas exiting on purpose, not crashing
         self._dispatcher: threading.Thread | None = None
         self._collector: threading.Thread | None = None
-        # Like the AsyncServer, the pool parent is a designated wall-clock
-        # timing boundary: queueing time is real waiting.
-        self._t0 = time.monotonic()  # etlint: disable=ET301 timing boundary
 
     # ---- pricing ----------------------------------------------------------
 
     def _price(self, seq_len: int) -> float:
-        """Cost-model service us for one request of ``seq_len`` (cached)."""
-        cached = self._prices.get(seq_len)
-        if cached is not None:
-            return cached
+        """Cost-model service us for one request of ``seq_len``."""
         x = None if self.payload_table is None \
             else self.payload_table.get(seq_len)
-        t = self.engine.latency_us(seq_len=seq_len, x=x)
-        with self._price_lock:
-            self._prices[seq_len] = t
-        return t
+        return self.engine.latency_us(seq_len=seq_len, x=x)
 
     # ---- lifecycle --------------------------------------------------------
 
     def start(self) -> "PoolServer":
         """Create the weight segment, spawn the replicas, start serving."""
+        self.core.start()
         with self._work:
-            if self._running:
-                raise RuntimeError("server already started")
-            self._running = True
             self._collecting = True
             self._stopping = False
-            self._t0 = time.monotonic()  # etlint: disable=ET301 timing boundary
             self._store = SharedWeightStore.create(self.engine.weights)
             self.shm_bytes = self._store.nbytes
             self._segment_name = self._store.manifest.segment
-            self._router = Router(list(range(self.n_workers)), self._price,
+            # Priced once per length (the cache is thread-safe).
+            self._router = Router(list(range(self.n_workers)),
+                                  functools.cache(self._price),
                                   on_steal=self._on_steal)
             self._result_q = self._ctx.Queue()
             self._task_qs = {}
@@ -194,8 +174,8 @@ class PoolServer:
         except BaseException:
             self._teardown_processes()
             self._destroy_store()
+            self.core.stop()
             with self._work:
-                self._running = False
                 self._collecting = False
             raise
         with self._work:
@@ -232,52 +212,36 @@ class PoolServer:
         ``stop`` returns, no shared-memory segment remains linked.
         """
         with self._work:
-            if not self._running and not self._collecting:
+            if not self._collecting:
                 return
-            self._running = False
-            self._work.notify_all()
             dispatcher = self._dispatcher
             self._dispatcher = None
+        dropped = self.core.stop(drain)
         if dispatcher is not None:
             dispatcher.join()  # flushes the queue into router backlogs
-        if not drain:
-            self._reject_unsent()
+        router = self._router
+        if not drain:  # turn away everything not already on a replica
+            dropped += [r for b in router.drain() for r in b.requests]
+        self.core.reject(dropped, self.core.now_us(), "shutdown_drop")
         with self._work:  # in-pipe batches always finish (they're running)
-            while self._sent or self._backlog_total() > 0:
+            while self._sent or any(router.backlog_depth(r)
+                                    for r in router.replica_ids):
                 self._work.wait(0.1)
         self._teardown_processes()
         with self._work:
             self._collecting = False
-            self._work.notify_all()
             collector = self._collector
             self._collector = None
         if collector is not None:
             collector.join()
         self._drain_stray_messages()
-        self._queue.close()
+        self.core.queue.close()
         self._destroy_store()
         # Drain contract: the weight segment must be gone. A leak here is a
         # lifecycle bug (crashed owner, double attach) that would otherwise
         # only surface as a stale /dev/shm file.
         assert self._live_segments() == 0, \
             f"leaked shared-memory segment {self._segment_name!r} after stop"
-
-    def _reject_unsent(self) -> None:
-        """No-drain stop: turn away everything not already on a replica."""
-        victims: list[Request] = []
-        if self._router is not None:
-            for batch in self._router.drain():
-                victims.extend(batch.requests)
-        victims.extend(self._queue.drain())
-        now = self._now_us()
-        for req in victims:
-            self._finish_response(req, Response.rejected(req, now))
-
-    def _backlog_total(self) -> int:
-        if self._router is None:
-            return 0
-        return sum(self._router.backlog_depth(rid)
-                   for rid in self._router.replica_ids)
 
     def _teardown_processes(self) -> None:
         """Order every live replica out, then join (terminate stragglers)."""
@@ -307,7 +271,7 @@ class PoolServer:
             except (std_queue.Empty, OSError, ValueError):
                 return
             if isinstance(msg, WorkerGoodbye):
-                self._record_goodbye(msg)
+                self._record_counters(msg)
 
     def _destroy_store(self) -> None:
         with self._work:
@@ -329,108 +293,62 @@ class PoolServer:
 
     def _on_steal(self, thief: int, victim: int, batch: Batch) -> None:
         """Router steal observer: record the migration in the recorder."""
-        if self.events.enabled:
-            self.events.emit("steal", self._now_us(),
-                             batch_id=batch.batch_id, bucket=batch.bucket,
-                             size=batch.size, replica=thief, src=victim)
-
-    def __enter__(self) -> "PoolServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+        self.events.emit("steal", self.core.now_us(), batch_id=batch.batch_id,
+                         bucket=batch.bucket, size=batch.size, replica=thief,
+                         src=victim)
 
     # ---- client API -------------------------------------------------------
-
-    def _now_us(self) -> float:
-        return (time.monotonic() - self._t0) * 1e6  # etlint: disable=ET301 timing boundary
 
     def submit(self, x: np.ndarray, priority: int = 0,
                mask: np.ndarray | None = None,
                client: int = 0) -> "Future[Response]":
         """Enqueue one sequence; raises :class:`QueueFullError` when the
-        shared queue is at depth and :class:`QuotaExceededError` when the
-        tenant is over its in-flight quota."""
+        shared queue is at depth, :class:`QuotaExceededError` when the
+        tenant is over its in-flight quota and ``ValueError`` for a payload
+        the lifecycle cannot serve."""
         x = np.asarray(x, dtype=np.float64)
-        seq_len = int(x.shape[0])
-        self.policy.bucket_of(seq_len)  # reject oversize up front
-        fut: Future[Response] = Future()
         try:
             self._admission.admit(client)
         except QuotaExceededError:
             # Quota rejections precede rid assignment: the event carries
             # the tenant, not a rid (the request never entered the system).
-            if self.events.enabled:
-                self.events.emit("quota_reject", self._now_us(),
-                                 seq_len=seq_len, tenant=client)
+            self.events.emit("quota_reject", self.core.now_us(),
+                             seq_len=int(x.shape[0]) if x.ndim else None,
+                             tenant=client)
             raise
-        try:
-            with self._work:
-                if not self._running:
-                    raise RuntimeError("server is not running")
-                rid = self._next_rid
-                self._next_rid += 1
-                arrival = self._now_us()
-                deadline = (None if self.slo is None else
-                            self.slo.deadline_us(seq_len, arrival))
-                req = Request(rid=rid, x=x, arrival_us=arrival,
-                              priority=priority, client=client, mask=mask,
-                              deadline_us=deadline)
-                self.metrics.observe_queue_depth(self._queue.depth)
-                if self.tracer.enabled:
-                    self.tracer.counter("queue_depth", req.arrival_us,
-                                        self._queue.depth)
-                if self.events.enabled:
-                    self.events.emit("admit", arrival, rid=rid,
-                                     seq_len=seq_len, tenant=client,
-                                     deadline_us=deadline)
-                try:
-                    self._queue.put(req)  # QueueFullError propagates
-                except Exception:
-                    if self.events.enabled:
-                        self.events.emit(
-                            "reject", arrival, rid=rid, seq_len=seq_len,
-                            tenant=client, deadline_us=deadline,
-                            slo_met=False if deadline is not None else None,
-                            detail="queue_full")
-                    raise
-                if self.events.enabled:
-                    self.events.emit("enqueue", arrival, rid=rid,
-                                     seq_len=seq_len)
-                self._futures[rid] = fut
-                self._work.notify_all()
-        except BaseException:
-            self._admission.release(client)
-            raise
-        return fut
+        fut: Future[Response] = Future()
 
-    @property
-    def depth(self) -> int:
-        """Current shared queue depth (batches booked on replicas excluded)."""
-        return self._queue.depth
+        def settle(resp: Response) -> None:
+            # The quota frees before the client can see the result.
+            self._admission.release(client)
+            fut.set_result(resp)
+
+        self.core.submit(x, settle, priority=priority, mask=mask,
+                         client=client)
+        return fut
 
     def pool_snapshot(self) -> dict[str, object]:
         """Pool-level state for metrics: per-replica load, steals, shm."""
         router_snap = self._router.snapshot() if self._router else {}
         with self._work:
+            inpipe = self._inpipe()
             replicas = {
                 rid: {
                     "backlog": snap["backlog"],
                     "outstanding_us": snap["outstanding_us"],
-                    "inpipe": float(self._inpipe.get(rid, 0)),
+                    "inpipe": float(inpipe[rid]),
                     "alive": bool(self._procs[rid].is_alive())
                     if rid in self._procs else False,
                     "counters": dict(self._replica_counters.get(rid, {})),
                 }
                 for rid, snap in router_snap.items()
             }
-            shm_bytes = self.shm_bytes
         return {
             "replicas": replicas,
             "steals": float(self._router.steals) if self._router else 0.0,
             "batches_dispatched": float(self._router.dispatched)
             if self._router else 0.0,
-            "shm_bytes": float(shm_bytes),
+            "shm_bytes": float(self.shm_bytes),
             "shm_segments": float(self._live_segments()),
             "worker_deaths": float(self.worker_deaths),
             "tenants_inflight": self._admission.snapshot(),
@@ -439,34 +357,14 @@ class PoolServer:
     def metrics_text(self) -> str:
         """Serving metrics + pool series as one Prometheus exposition page."""
         snapshot = self.pool_snapshot()
-        with self._work:
-            base = prometheus_text(self.metrics)
-        return base + pool_prometheus_text(snapshot)
+        return self.core.metrics_text() + pool_prometheus_text(snapshot)
 
     # ---- dispatcher -------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while True:
-            with self._work:
-                batch = None
-                while batch is None:
-                    now = self._now_us()
-                    batch = self._batcher.pop_batch(
-                        self._queue, now, flush=not self._running)
-                    if batch is not None:
-                        break
-                    if not self._running:
-                        return  # queue flushed into router backlogs
-                    deadline = self._batcher.next_deadline_us(self._queue)
-                    timeout = None if deadline is None else max(
-                        1e-4, (deadline - now) / 1e6)
-                    self._work.wait(timeout)
+        while (batch := self.core.next_batch()) is not None:
             # Booking may price unseen lengths through the parent engine —
-            # never hold the condition across it.
-            if self.events.enabled:
-                self.events.emit("batch_formed", self._now_us(),
-                                 batch_id=batch.batch_id,
-                                 bucket=batch.bucket, size=batch.size)
+            # never hold a lock across it.
             self._router.assign(batch)  # type: ignore[union-attr]
             self._feed()
 
@@ -475,29 +373,29 @@ class PoolServer:
         router = self._router
         if router is None:
             return
-        sends: list[tuple[int, BatchTask]] = []
+        sends: list[tuple[int, Batch, float]] = []
         with self._work:
+            inpipe = self._inpipe()
             for rid in router.replica_ids:
-                while self._inpipe.get(rid, 0) < self.pipeline_depth:
+                while inpipe[rid] < self.pipeline_depth:
                     batch = router.acquire(rid)
                     if batch is None:
                         break
-                    start = self._now_us()
+                    start = self.core.now_us()
                     self._sent[batch.batch_id] = (rid, batch, start)
-                    self._inpipe[rid] = self._inpipe.get(rid, 0) + 1
-                    self.metrics.observe_batch(batch.size, batch.bucket,
-                                               start)
-                    if self.events.enabled:
-                        self.events.emit("dispatch", start,
-                                         batch_id=batch.batch_id,
-                                         bucket=batch.bucket,
-                                         size=batch.size, replica=rid)
-                    sends.append((rid, self._make_task(batch)))
-        for rid, task in sends:
+                    inpipe[rid] += 1
+                    sends.append((rid, batch, start))
+        for rid, batch, start in sends:
+            self.core.dispatch(batch, start, rid)
+            task = self._make_task(batch)
             try:
                 self._task_qs[rid].put(task)  # type: ignore[attr-defined]
             except (ValueError, OSError):
                 pass  # pipe died with its replica; the reaper re-books it
+
+    def _inpipe(self) -> Counter[int]:
+        """Batches in each replica's pipe (call under ``_work``)."""
+        return Counter(r for r, _batch, _start in self._sent.values())
 
     def _make_task(self, batch: Batch) -> BatchTask:
         """Ship payload-table lengths instead of arrays when possible."""
@@ -511,7 +409,7 @@ class PoolServer:
         return BatchTask(
             batch_id=batch.batch_id, payloads=payloads,
             masks=[r.mask for r in batch.requests],
-            want_trace=self.tracer.enabled,
+            want_trace=self.core.traced,
             return_outputs=self.return_outputs)
 
     # ---- collector --------------------------------------------------------
@@ -531,96 +429,37 @@ class PoolServer:
             if isinstance(msg, BatchResult):
                 self._on_result(msg)
             elif isinstance(msg, WorkerGoodbye):
-                self._record_goodbye(msg)
+                self._record_counters(msg)
 
-    def _record_goodbye(self, msg: WorkerGoodbye) -> None:
+    def _record_counters(self, msg: BatchResult | WorkerGoodbye) -> None:
+        """Fold a replica's cumulative plan-cache and busy counters in."""
+        if msg.plan_stats:
+            self.core.observe_plan_cache(msg.plan_stats,
+                                         source=f"replica{msg.worker_id}")
         with self._work:
-            self._goodbyes[msg.worker_id] = msg
-            if msg.plan_stats:
-                self.metrics.observe_plan_cache(
-                    msg.plan_stats, source=f"replica{msg.worker_id}")
-            self._replica_counters[msg.worker_id] = {
-                "busy_us": msg.busy_us, "batches": float(msg.batches_run)}
-            self._work.notify_all()
+            self._replica_counters[msg.worker_id] = dict(msg.counters)
 
     def _on_result(self, result: BatchResult) -> None:
         with self._work:
             entry = self._sent.pop(result.batch_id, None)
-            if entry is not None:
-                rid, batch, start = entry
-                self._inpipe[rid] = max(0, self._inpipe.get(rid, 1) - 1)
-                if result.plan_stats:
-                    self.metrics.observe_plan_cache(
-                        result.plan_stats, source=f"replica{rid}")
-                if result.counters:
-                    self._replica_counters[result.worker_id] = \
-                        dict(result.counters)
         if entry is None:
             return  # batch was re-booked after a presumed death; drop dup
+        rid, batch, start = entry
+        self._record_counters(result)
         self._router.complete(result.batch_id)  # type: ignore[union-attr]
-        if self.events.enabled:
-            self.events.emit("exec", start + result.service_us,
-                             batch_id=result.batch_id, bucket=batch.bucket,
-                             size=batch.size, replica=result.worker_id,
-                             detail=result.error and "error")
+        self.events.emit("exec", start + result.service_us,
+                         batch_id=result.batch_id, bucket=batch.bucket,
+                         size=batch.size, replica=result.worker_id,
+                         detail=result.error and "error")
         if result.error is not None:
-            now = self._now_us()
-            for req in batch.requests:
-                self._finish_response(req, Response.rejected(req, now))
+            self.core.reject(batch.requests, self.core.now_us(),
+                             "batch_error", result.error)
         else:
-            self._resolve_batch(rid, batch, start, result)
+            self.core.complete(batch, rid, start, result.service_us,
+                               result.outputs, result.traced)
         with self._work:
             self._work.notify_all()
         self._feed()
-
-    def _resolve_batch(self, rid: int, batch: Batch, start: float,
-                       result: BatchResult) -> None:
-        finish = start + result.service_us
-        if self.tracer.enabled and result.records is not None:
-            engine_results = []
-            for i, (records, choices) in enumerate(
-                    zip(result.records, result.choices)):
-                tl = Timeline(self.engine.device)
-                tl.records.extend(records)
-                out = result.outputs[i] if result.outputs is not None \
-                    else np.empty(0)
-                engine_results.append(
-                    EngineResult(output=out, timeline=tl, choices=choices))
-            with self._work:  # tracer storage is not thread-safe
-                trace_batch(self.tracer, batch, self.engine.name, rid,
-                            start, finish, engine_results)
-        for i, req in enumerate(batch.requests):
-            output = result.outputs[i] if result.outputs is not None else None
-            resp = Response(
-                rid=req.rid, status=ResponseStatus.OK,
-                arrival_us=req.arrival_us, start_us=start, finish_us=finish,
-                service_us=result.service_us, batch_id=batch.batch_id,
-                batch_size=batch.size, bucket=batch.bucket,
-                seq_len=req.seq_len, client=req.client, replica=rid,
-                deadline_us=req.deadline_us, output=output)
-            self._finish_response(req, resp)
-
-    def _finish_response(self, req: Request, resp: Response) -> None:
-        with self._work:
-            fut = self._futures.pop(req.rid, None)
-            self.metrics.observe_response(resp)
-            if self.events.enabled:  # one terminal event per rid
-                if resp.ok:
-                    self.events.emit(
-                        "complete", resp.finish_us, rid=req.rid,
-                        batch_id=resp.batch_id, bucket=resp.bucket,
-                        seq_len=req.seq_len, tenant=req.client,
-                        replica=resp.replica, deadline_us=req.deadline_us,
-                        slo_met=resp.slo_met)
-                else:
-                    self.events.emit(
-                        "reject", resp.finish_us, rid=req.rid,
-                        seq_len=req.seq_len, tenant=req.client,
-                        deadline_us=req.deadline_us, slo_met=resp.slo_met,
-                        detail="shed")
-        self._admission.release(req.client)
-        if fut is not None:
-            fut.set_result(resp)
 
     # ---- replica death ----------------------------------------------------
 
@@ -638,10 +477,8 @@ class PoolServer:
         if not dead:
             return
         todo: list[Batch] = []
-        victims: list[Request] = []
         for rid in dead:
-            if self.events.enabled:
-                self.events.emit("worker_death", self._now_us(), replica=rid)
+            self.events.emit("worker_death", self.core.now_us(), replica=rid)
             todo.extend(router.retire(rid))
             with self._work:
                 self.worker_deaths += 1
@@ -649,7 +486,6 @@ class PoolServer:
                             in self._sent.items() if r == rid]
                 for bid, _b in retained:
                     del self._sent[bid]
-                self._inpipe.pop(rid, None)
             for bid, b in retained:
                 router.forget(bid)
                 todo.append(b)
@@ -657,16 +493,12 @@ class PoolServer:
         if survivors:
             for b in todo:
                 new_rid = router.assign(b)
-                if self.events.enabled:
-                    self.events.emit("rebook", self._now_us(),
-                                     batch_id=b.batch_id, bucket=b.bucket,
-                                     size=b.size, replica=new_rid)
+                self.events.emit("rebook", self.core.now_us(),
+                                 batch_id=b.batch_id, bucket=b.bucket,
+                                 size=b.size, replica=new_rid)
         else:
-            for b in todo:
-                victims.extend(b.requests)
-            now = self._now_us()
-            for req in victims:
-                self._finish_response(req, Response.rejected(req, now))
+            self.core.reject([r for b in todo for r in b.requests],
+                             self.core.now_us(), "shed")
         with self._work:
             self._work.notify_all()
         self._feed()

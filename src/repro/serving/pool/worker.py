@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gpu.counters import KernelRecord
+from repro.runtime.engine import EngineResult
 from repro.runtime.plan import PLAN_CACHE
 from repro.runtime.shm import SharedWeightStore, WeightManifest
 from repro.serving.batcher import Batch
@@ -82,11 +82,10 @@ class BatchResult:
     worker_id: int
     batch_id: int
     service_us: float
-    latencies_us: list[float]
     outputs: list[np.ndarray] | None
-    choices: list[dict[str, str]]
-    #: Per-request kernel records (only when the task asked for a trace).
-    records: list[list[KernelRecord]] | None
+    #: Per-request timelines and attention choices, outputs elided (only
+    #: when the task asked for a trace).
+    traced: list[EngineResult] | None
     #: The replica's process-wide plan-cache counters after this batch.
     plan_stats: dict[str, int] = field(default_factory=dict)
     #: Cumulative replica counters after this batch (``busy_us``,
@@ -102,9 +101,8 @@ class WorkerGoodbye:
     """Last message of a clean shutdown: counters for the pool report."""
 
     worker_id: int
-    batches_run: int
-    busy_us: float
     plan_stats: dict[str, int] = field(default_factory=dict)
+    counters: dict[str, float] = field(default_factory=dict)
 
 
 def worker_counters(worker: EngineWorker) -> dict[str, float]:
@@ -138,17 +136,15 @@ def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
     except Exception as exc:  # report, don't kill the replica
         return BatchResult(
             worker_id=worker_id, batch_id=task.batch_id, service_us=0.0,
-            latencies_us=[], outputs=None, choices=[], records=None,
-            plan_stats=PLAN_CACHE.stats(),
+            outputs=None, traced=None, plan_stats=PLAN_CACHE.stats(),
             counters=worker_counters(worker),
             error=f"{type(exc).__name__}: {exc}")
     return BatchResult(
         worker_id=worker_id, batch_id=task.batch_id, service_us=service_us,
-        latencies_us=[res.timeline.total_time_us for res in results],
         outputs=[res.output for res in results] if task.return_outputs
         else None,
-        choices=[dict(res.choices) for res in results],
-        records=[list(res.timeline.records) for res in results]
+        traced=[EngineResult(output=np.empty(0), timeline=res.timeline,
+                             choices=dict(res.choices)) for res in results]
         if task.want_trace else None,
         plan_stats=PLAN_CACHE.stats(),
         counters=worker_counters(worker),
@@ -188,8 +184,8 @@ def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
             if task is STOP:
                 break
             result_q.put(run_task(task, worker, worker_id, payload_table))
-        result_q.put(WorkerGoodbye(
-            worker_id=worker_id, batches_run=worker.batches_run,
-            busy_us=worker.busy_us, plan_stats=PLAN_CACHE.stats()))
+        result_q.put(WorkerGoodbye(worker_id=worker_id,
+                                   plan_stats=PLAN_CACHE.stats(),
+                                   counters=worker_counters(worker)))
     finally:
         store.close()

@@ -1,19 +1,21 @@
-"""Bounded, thread-safe request queue with admission control.
+"""Bounded request queue with admission control.
 
 The queue is the single pending store of the serving layer: requests wait
 here from admission until the batcher pulls them into a dispatch. Ordering
 is priority-first, FIFO within a priority level. ``put`` applies admission
-control — when the queue is at ``max_depth`` it either rejects immediately
-(backpressure, the deterministic scheduler's mode) or blocks the caller
-(the thread-backed server's mode).
+control — when the queue is at ``max_depth`` it rejects immediately
+(backpressure).
+
+The queue holds no lock of its own: its owner, the
+:class:`~repro.serving.lifecycle.RequestLifecycle`, calls it under the
+lifecycle's condition, which is also where live backends block.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from repro.serving.request import Request
 
@@ -23,7 +25,7 @@ class QueueFullError(RuntimeError):
 
 
 class QueueClosedError(RuntimeError):
-    """Raised when putting into or blocking on a closed queue."""
+    """Raised when putting into a closed queue."""
 
 
 class RequestQueue:
@@ -35,81 +37,36 @@ class RequestQueue:
         self.max_depth = max_depth
         self._heap: list[tuple[tuple[int, float, int], Request]] = []
         self._counter = itertools.count()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
         self._closed = False
-
-    def _key(self, req: Request) -> tuple[int, float, int]:
-        # Higher priority first; FIFO (arrival, then admission order) within.
-        return (-req.priority, req.arrival_us, next(self._counter))
 
     # ---- admission --------------------------------------------------------
 
-    def put(self, req: Request, block: bool = False,
-            timeout: float | None = None) -> None:
-        """Admit a request; rejects (or blocks) when at ``max_depth``."""
-        with self._not_full:
-            if self._closed:
-                raise QueueClosedError("queue is closed")
-            if self.max_depth is not None:
-                if not block:
-                    if len(self._heap) >= self.max_depth:
-                        raise QueueFullError(
-                            f"queue at max depth {self.max_depth}"
-                        )
-                else:
-                    ok = self._not_full.wait_for(
-                        lambda: self._closed
-                        or len(self._heap) < self.max_depth,
-                        timeout=timeout,
-                    )
-                    if self._closed:
-                        raise QueueClosedError("queue closed while blocked")
-                    if not ok:
-                        raise QueueFullError(
-                            f"queue stayed at max depth {self.max_depth} "
-                            f"for {timeout}s"
-                        )
-            heapq.heappush(self._heap, (self._key(req), req))
-            self._not_empty.notify()
+    def put(self, req: Request) -> None:
+        """Admit a request; rejects when at ``max_depth``."""
+        if self._closed:
+            raise QueueClosedError("queue is closed")
+        if self.max_depth is not None and len(self._heap) >= self.max_depth:
+            raise QueueFullError(f"queue at max depth {self.max_depth}")
+        # Higher priority first; FIFO (arrival, then admission order) within.
+        key = (-req.priority, req.arrival_us, next(self._counter))
+        heapq.heappush(self._heap, (key, req))
 
     # ---- inspection -------------------------------------------------------
 
     @property
     def depth(self) -> int:
         """Number of pending requests."""
-        with self._lock:
-            return len(self._heap)
+        return len(self._heap)
 
-    def __len__(self) -> int:
-        return self.depth
-
-    def snapshot(self) -> list[Request]:
-        """Pending requests in dispatch order (does not consume them)."""
-        with self._lock:
-            return [req for _, req in sorted(self._heap)]
-
-    def oldest_arrival(self, pred: Callable[[Request], bool]) -> float | None:
-        """Earliest arrival time among pending requests matching ``pred``."""
-        with self._lock:
-            times = [r.arrival_us for _, r in self._heap if pred(r)]
-        return min(times) if times else None
+    def __iter__(self) -> Iterator[Request]:
+        """Pending requests, in no particular order (does not consume)."""
+        return (req for _, req in self._heap)
 
     # ---- removal ----------------------------------------------------------
 
-    def pop(self, block: bool = False, timeout: float | None = None
-            ) -> Request | None:
+    def pop(self) -> Request | None:
         """Remove and return the highest-priority request (None if empty)."""
-        with self._not_empty:
-            if block:
-                self._not_empty.wait_for(
-                    lambda: self._closed or self._heap, timeout=timeout)
-            if not self._heap:
-                return None
-            _, req = heapq.heappop(self._heap)
-            self._not_full.notify()
-            return req
+        return heapq.heappop(self._heap)[1] if self._heap else None
 
     def pop_where(self, pred: Callable[[Request], bool],
                   limit: int) -> list[Request]:
@@ -118,50 +75,22 @@ class RequestQueue:
         This is how the batcher pulls one bucket's worth of work while
         leaving other buckets queued.
         """
-        if limit <= 0:
-            return []
-        with self._not_full:
-            entries = sorted(self._heap)
-            taken, kept = [], []
-            for entry in entries:
-                if len(taken) < limit and pred(entry[1]):
-                    taken.append(entry[1])
-                else:
-                    kept.append(entry)
-            if taken:
-                self._heap = kept
-                heapq.heapify(self._heap)
-                self._not_full.notify_all()
-            return taken
+        taken: list[Request] = []
+        kept = []
+        for entry in sorted(self._heap):
+            if len(taken) < limit and pred(entry[1]):
+                taken.append(entry[1])
+            else:
+                kept.append(entry)
+        if taken:
+            self._heap = kept  # sorted, hence already a valid heap
+        return taken
 
-    def counts(self, key: Callable[[Request], int]) -> dict[int, int]:
-        """Pending-request count per ``key`` value (e.g. bucket index)."""
-        out: dict[int, int] = {}
-        with self._lock:
-            for _, req in self._heap:
-                k = key(req)
-                out[k] = out.get(k, 0) + 1
-        return out
-
-    # ---- lifecycle --------------------------------------------------------
+    def drain(self) -> list[Request]:
+        """Remove and return everything still pending, in dispatch order."""
+        entries, self._heap = sorted(self._heap), []
+        return [req for _, req in entries]
 
     def close(self) -> None:
-        """Stop admitting; wakes any blocked producers/consumers."""
-        with self._lock:
-            self._closed = True
-            self._not_full.notify_all()
-            self._not_empty.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        """Whether the queue has been closed."""
-        with self._lock:
-            return self._closed
-
-    def drain(self) -> Iterable[Request]:
-        """Remove and return everything still pending, in dispatch order."""
-        with self._not_full:
-            entries = sorted(self._heap)
-            self._heap = []
-            self._not_full.notify_all()
-        return [req for _, req in entries]
+        """Stop admitting: every later ``put`` raises."""
+        self._closed = True

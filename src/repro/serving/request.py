@@ -20,7 +20,7 @@ class ResponseStatus(enum.Enum):
     """Terminal state of a request."""
 
     OK = "ok"
-    REJECTED = "rejected"  # admission control turned it away (queue full)
+    REJECTED = "rejected"  # turned away or failed; ``detail`` says why
 
 
 @dataclass
@@ -37,8 +37,8 @@ class Request:
 
     @property
     def seq_len(self) -> int:
-        """Sequence length of the payload."""
-        return int(self.x.shape[0])
+        """Sequence length of the payload (0 for a scalar payload)."""
+        return int(self.x.shape[0]) if self.x.ndim else 0
 
 
 @dataclass
@@ -59,6 +59,8 @@ class Response:
     replica: int = -1  # worker/replica index that executed the batch
     deadline_us: float | None = None  # absolute SLO deadline (driver clock)
     output: np.ndarray | None = field(default=None, repr=False)
+    detail: str | None = None  # reject reason (lifecycle.REJECT_DETAILS)
+    error: str | None = None  # human-readable cause of a rejection
 
     @property
     def ok(self) -> bool:
@@ -87,9 +89,10 @@ class Response:
         return self.ok and self.finish_us <= self.deadline_us
 
     @classmethod
-    def rejected(cls, req: Request, now_us: float) -> "Response":
-        """A backpressure rejection recorded at admission time."""
+    def rejected(cls, req: Request, now_us: float, detail: str | None = None,
+                 error: str | None = None) -> "Response":
+        """A rejection of ``req`` recorded at ``now_us``."""
         return cls(rid=req.rid, status=ResponseStatus.REJECTED,
                    arrival_us=req.arrival_us, start_us=now_us,
                    finish_us=now_us, seq_len=req.seq_len, client=req.client,
-                   deadline_us=req.deadline_us)
+                   deadline_us=req.deadline_us, detail=detail, error=error)

@@ -12,59 +12,15 @@ identical report on every run.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.obs.events import NULL_EVENT_LOG, EventLog
-from repro.obs.trace import NullTracer, Tracer, engine_spans
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine, EngineResult
 from repro.serving.batcher import Batch, DynamicBatcher
+from repro.serving.lifecycle import RequestLifecycle
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.queue import QueueFullError, RequestQueue
-from repro.serving.request import Request, Response, ResponseStatus
-
-
-def trace_batch(tracer: Tracer, batch: Batch, engine_name: str, w_idx: int,
-                start_us: float, finish_us: float,
-                results: Sequence[EngineResult]) -> None:
-    """Record one dispatched batch into ``tracer``.
-
-    Opens the ``batch`` span on the worker's track and, per member, a
-    ``request`` span with its ``queue_wait``/``service`` phases; the
-    member's engine timeline (layers → steps → kernels) is laid serially
-    inside the batch window, which is exactly how the single-stream cost
-    model spends the service time. Shared by the virtual-time scheduler
-    and the thread-backed server.
-    """
-    tracer.span(f"batch{batch.batch_id}", "batch", start_us, finish_us, {
-        "batch_id": batch.batch_id, "bucket": batch.bucket,
-        "size": batch.size, "worker": w_idx, "engine": engine_name,
-    })
-    cursor = start_us
-    for req, res in zip(batch.requests, results):
-        regimes = sorted(set(res.choices.values()))
-        sp = tracer.span(f"request{req.rid}", "request", req.arrival_us,
-                         finish_us, {
-                             "rid": req.rid, "seq_len": req.seq_len,
-                             "bucket": batch.bucket,
-                             "batch_id": batch.batch_id,
-                             "batch_size": batch.size,
-                             "engine": engine_name, "client": req.client,
-                             "otf_regime": "/".join(regimes),
-                             "status": "ok",
-                         })
-        sp.child("queue_wait", "phase", req.arrival_us, start_us)
-        service = sp.child("service", "phase", start_us, finish_us,
-                           {"batch_id": batch.batch_id})
-        cursor = engine_spans(res.timeline, service, res.choices, cursor)
-
-
-def trace_rejection(tracer: Tracer, req: Request, now_us: float) -> None:
-    """Record one admission-control rejection as a zero-length span."""
-    tracer.span(f"request{req.rid}", "request", req.arrival_us, now_us, {
-        "rid": req.rid, "seq_len": req.seq_len, "client": req.client,
-        "status": "rejected",
-    })
+from repro.serving.request import Request, Response
 
 
 class EngineWorker:
@@ -121,33 +77,29 @@ class EngineWorker:
         return results, service_us
 
 
-@dataclass
-class SchedulerConfig:
-    """Knobs of one serving run."""
-
-    max_batch: int = 8
-    max_wait_us: float = 2_000.0
-    max_depth: int = 64
-
-    def __post_init__(self) -> None:
-        if self.max_depth <= 0:
-            raise ValueError(f"max_depth must be positive: {self.max_depth}")
-
-
-@dataclass
 class Scheduler:
-    """Event-driven simulation of queue → batcher → worker pool."""
+    """Event-driven simulation of queue → batcher → worker pool.
 
-    workers: Sequence[EngineWorker]
-    batcher: DynamicBatcher
-    config: SchedulerConfig = field(default_factory=SchedulerConfig)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    tracer: Tracer = field(default_factory=NullTracer)
-    events: EventLog = field(default_factory=lambda: NULL_EVENT_LOG)
+    The request lifecycle (admission, batching, settlement, telemetry) is
+    the shared :class:`~repro.serving.lifecycle.RequestLifecycle`; the
+    scheduler only owns the virtual clock and which worker is free when.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.workers:
+    def __init__(self, workers: Sequence[EngineWorker],
+                 batcher: DynamicBatcher, max_depth: int = 64,
+                 tracer: Tracer = NULL_TRACER,
+                 events: EventLog = NULL_EVENT_LOG) -> None:
+        if not workers:
             raise ValueError("need at least one worker")
+        self.workers = list(workers)
+        self.core = RequestLifecycle(self.workers[0].engine, batcher,
+                                     max_depth=max_depth, tracer=tracer,
+                                     events=events)
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The run's serving metrics."""
+        return self.core.metrics
 
     def run(
         self,
@@ -160,7 +112,7 @@ class Scheduler:
         terminal response, it may return the issuing client's next request
         (with a future ``arrival_us``), which joins the stream.
         """
-        queue = RequestQueue(max_depth=self.config.max_depth)
+        core = self.core
         pending: list[tuple[float, int, Request]] = [
             (r.arrival_us, r.rid, r) for r in arrivals
         ]
@@ -168,114 +120,45 @@ class Scheduler:
         free_us = [0.0] * len(self.workers)
         responses: list[Response] = []
 
-        def admit(now_us: float) -> None:
-            while pending and pending[0][0] <= now_us:
-                _, _, req = heapq.heappop(pending)
-                self.metrics.observe_queue_depth(queue.depth)
-                if self.tracer.enabled:
-                    self.tracer.counter("queue_depth", req.arrival_us,
-                                        queue.depth)
-                if self.events.enabled:
-                    self.events.emit("admit", req.arrival_us, rid=req.rid,
-                                     seq_len=req.seq_len, tenant=req.client,
-                                     deadline_us=req.deadline_us)
-                try:
-                    queue.put(req)
-                    if self.events.enabled:
-                        self.events.emit("enqueue", req.arrival_us,
-                                         rid=req.rid, seq_len=req.seq_len)
-                except QueueFullError:
-                    resp = Response.rejected(req, req.arrival_us)
-                    self.metrics.observe_response(resp)
-                    if self.tracer.enabled:
-                        trace_rejection(self.tracer, req, req.arrival_us)
-                    if self.events.enabled:
-                        self.events.emit("reject", req.arrival_us,
-                                         rid=req.rid, seq_len=req.seq_len,
-                                         tenant=req.client,
-                                         deadline_us=req.deadline_us,
-                                         slo_met=resp.slo_met,
-                                         detail="queue_full")
-                    responses.append(resp)
-                    if next_request is not None:
-                        follow = next_request(resp)
-                        if follow is not None:
-                            heapq.heappush(
-                                pending,
-                                (follow.arrival_us, follow.rid, follow))
-
-        def dispatch(now_us: float) -> None:
-            # Workers take batches in index order; batch choice itself is
-            # deterministic (oldest-first), so the whole step is replayable.
-            for w_idx in range(len(self.workers)):
-                if free_us[w_idx] > now_us or queue.depth == 0:
-                    continue
-                flush = not pending  # no future arrivals can join a bucket
-                batch = self.batcher.pop_batch(queue, now_us, flush=flush)
-                if batch is None:
-                    continue
-                self._execute(batch, self.workers[w_idx], w_idx, now_us,
-                              free_us, responses, pending, next_request)
+        def settle(resp: Response) -> None:
+            responses.append(resp)
+            follow = None if next_request is None else next_request(resp)
+            if follow is not None:
+                heapq.heappush(pending,
+                               (follow.arrival_us, follow.rid, follow))
 
         now = 0.0
-        while pending or queue.depth:
-            admit(now)
-            dispatch(now)
+        while pending or core.queue.depth:
+            while pending and pending[0][0] <= now:
+                core.admit(heapq.heappop(pending)[2], settle)
+            # Workers take batches in index order; batch choice itself is
+            # deterministic (oldest-first), so the whole step is replayable.
+            for w_idx, worker in enumerate(self.workers):
+                if free_us[w_idx] > now or core.queue.depth == 0:
+                    continue
+                # no future arrivals can join a bucket: flush
+                batch = core.pop_batch(now, flush=not pending)
+                if batch is None:
+                    continue
+                core.dispatch(batch, now, w_idx)
+                results, service_us = worker.process(batch)
+                free_us[w_idx] = now + service_us
+                core.complete(batch, w_idx, now, service_us,
+                              [res.output for res in results], results)
             # Next decision point: an arrival, a worker freeing up, or a
             # pending bucket crossing its batching deadline.
             candidates = []
             if pending:
                 candidates.append(pending[0][0])
-            if queue.depth:
-                deadline = self.batcher.next_deadline_us(queue)
+            if core.queue.depth:
+                deadline = core.batcher.next_deadline_us(core.queue)
                 if deadline is not None:
                     candidates.append(deadline)
                 candidates.extend(f for f in free_us if f > now)
             future = [t for t in candidates if t > now]
             if not future:
-                if queue.depth:  # overdue work, worker free: loop again now
+                if core.queue.depth:  # overdue work, a worker is free
                     continue
                 break
             now = min(future)
         return sorted(responses, key=lambda r: r.rid)
-
-    def _execute(self, batch: Batch, worker: EngineWorker, w_idx: int,
-                 now_us: float, free_us: list[float],
-                 responses: list[Response], pending: list, next_request
-                 ) -> None:
-        results, service_us = worker.process(batch)
-        start = max(now_us, free_us[w_idx])
-        finish = start + service_us
-        free_us[w_idx] = finish
-        self.metrics.observe_batch(batch.size, batch.bucket, start)
-        if self.tracer.enabled:
-            trace_batch(self.tracer, batch, worker.engine.name, w_idx,
-                        start, finish, results)
-        if self.events.enabled:
-            self.events.emit("batch_formed", start, batch_id=batch.batch_id,
-                             bucket=batch.bucket, size=batch.size)
-            self.events.emit("dispatch", start, batch_id=batch.batch_id,
-                             bucket=batch.bucket, size=batch.size,
-                             replica=w_idx)
-        for req, res in zip(batch.requests, results):
-            resp = Response(
-                rid=req.rid, status=ResponseStatus.OK,
-                arrival_us=req.arrival_us, start_us=start, finish_us=finish,
-                service_us=service_us, batch_id=batch.batch_id,
-                batch_size=batch.size, bucket=batch.bucket,
-                seq_len=req.seq_len, client=req.client, replica=w_idx,
-                deadline_us=req.deadline_us, output=res.output,
-            )
-            self.metrics.observe_response(resp)
-            if self.events.enabled:
-                self.events.emit("complete", finish, rid=req.rid,
-                                 batch_id=batch.batch_id, bucket=batch.bucket,
-                                 seq_len=req.seq_len, tenant=req.client,
-                                 replica=w_idx, deadline_us=req.deadline_us,
-                                 slo_met=resp.slo_met)
-            responses.append(resp)
-            if next_request is not None:
-                follow = next_request(resp)
-                if follow is not None:
-                    heapq.heappush(
-                        pending, (follow.arrival_us, follow.rid, follow))

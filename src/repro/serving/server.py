@@ -1,10 +1,10 @@
 """Thread-backed asynchronous serving front end.
 
 :class:`AsyncServer` is the live counterpart of the deterministic
-scheduler: ``submit`` stamps a request, admission-controls it into the
-shared :class:`RequestQueue` and returns a future; a pool of worker
-threads forms length-bucketed batches with the same
-:class:`DynamicBatcher` policy object and executes them through
+scheduler: ``submit`` hands a payload to the shared
+:class:`~repro.serving.lifecycle.RequestLifecycle` (stamp, validate,
+admit) and returns a future; a pool of worker threads takes the
+length-bucketed batches it forms and executes them through
 ``Engine.run_batch``. Queueing time is wall clock (threads really wait),
 service time stays in cost-model microseconds — the simulated GPU is the
 resource being scheduled, the host threads only coordinate.
@@ -13,26 +13,19 @@ resource being scheduled, the host threads only coordinate.
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import Future
-
-import numpy as np
 
 from repro.obs.events import NULL_EVENT_LOG, EventLog
-from repro.obs.prometheus import prometheus_text
 from repro.obs.slo import SloPolicy
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import PLAN_CACHE
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.bucketing import BucketPolicy
-from repro.serving.metrics import MetricsRegistry
-from repro.serving.queue import RequestQueue
-from repro.serving.request import Request, Response, ResponseStatus
-from repro.serving.scheduler import EngineWorker, trace_batch
+from repro.serving.lifecycle import LiveServer, RequestLifecycle
+from repro.serving.scheduler import EngineWorker
 
 
-class AsyncServer:
+class AsyncServer(LiveServer):
     """Futures-based serving loop over a pool of engine worker threads."""
 
     def __init__(
@@ -48,192 +41,54 @@ class AsyncServer:
     ) -> None:
         if not engines:
             raise ValueError("need at least one engine")
-        self.policy = policy
-        self.tracer = tracer
-        self.events = events
-        self.slo = slo
-        self.metrics = MetricsRegistry()
-        self._queue = RequestQueue(max_depth=max_depth)
-        self._batcher = DynamicBatcher(policy, max_batch=max_batch,
-                                       max_wait_us=max_wait_us)
+        self.core = RequestLifecycle(
+            engines[0], DynamicBatcher(policy, max_batch=max_batch,
+                                       max_wait_us=max_wait_us),
+            max_depth=max_depth, tracer=tracer, events=events, slo=slo)
         self._workers = [EngineWorker(e) for e in engines]
-        self._work = threading.Condition()
-        self._futures: dict[int, Future] = {}
-        self._next_rid = 0
-        self._running = False
-        # The thread-backed server is the repo's one designated wall-clock
-        # timing boundary: queueing time is real thread waiting.
-        self._t0 = time.monotonic()  # etlint: disable=ET301 timing boundary
         self._threads: list[threading.Thread] = []
 
     # ---- lifecycle --------------------------------------------------------
 
     def start(self) -> "AsyncServer":
         """Spawn one thread per engine worker."""
-        with self._work:
-            if self._running:
-                raise RuntimeError("server already started")
-            self._running = True
-            self._t0 = time.monotonic()  # etlint: disable=ET301 timing boundary
-            self._threads = [
-                threading.Thread(target=self._worker_loop, args=(i, w),
-                                 name=f"serve-worker-{i}", daemon=True)
-                for i, w in enumerate(self._workers)
-            ]
-            threads = list(self._threads)
-        for t in threads:
+        self.core.start()
+        self._threads = [
+            threading.Thread(target=self._worker_loop, args=(i, w),
+                             name=f"serve-worker-{i}", daemon=True)
+            for i, w in enumerate(self._workers)
+        ]
+        for t in self._threads:
             t.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
         """Stop the workers; with ``drain`` they finish everything queued."""
-        with self._work:
-            self._running = False
-            threads = self._threads
-            self._threads = []
-            self._work.notify_all()
-        for t in threads:  # joining must not hold the lock workers need
+        dropped = self.core.stop(drain)
+        threads, self._threads = self._threads, []
+        for t in threads:
             t.join()
-        if not drain:
-            for req in self._queue.drain():
-                resp = Response.rejected(req, self._now_us())
-                with self._work:
-                    fut = self._futures.pop(req.rid, None)
-                    self.metrics.observe_response(resp)
-                    if self.events.enabled:
-                        self.events.emit("reject", resp.finish_us,
-                                         rid=req.rid, seq_len=req.seq_len,
-                                         tenant=req.client,
-                                         deadline_us=req.deadline_us,
-                                         slo_met=resp.slo_met,
-                                         detail="shutdown_drop")
-                if fut is not None:
-                    fut.set_result(resp)
-        self._queue.close()
-
-    def __enter__(self) -> "AsyncServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    # ---- client API -------------------------------------------------------
-
-    def _now_us(self) -> float:
-        return (time.monotonic() - self._t0) * 1e6  # etlint: disable=ET301 timing boundary
-
-    def submit(self, x: np.ndarray, priority: int = 0,
-               mask: np.ndarray | None = None) -> "Future[Response]":
-        """Enqueue one sequence; raises :class:`QueueFullError` when full.
-
-        The returned future resolves to the request's :class:`Response`
-        when its batch completes.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        self.policy.bucket_of(int(x.shape[0]))  # reject oversize up front
-        fut: Future[Response] = Future()
-        with self._work:
-            if not self._running:
-                raise RuntimeError("server is not running")
-            rid = self._next_rid
-            self._next_rid += 1
-            arrival = self._now_us()
-            deadline = (None if self.slo is None else
-                        self.slo.deadline_us(int(x.shape[0]), arrival))
-            req = Request(rid=rid, x=x, arrival_us=arrival,
-                          priority=priority, mask=mask, deadline_us=deadline)
-            self.metrics.observe_queue_depth(self._queue.depth)
-            if self.tracer.enabled:
-                self.tracer.counter("queue_depth", req.arrival_us,
-                                    self._queue.depth)
-            if self.events.enabled:
-                self.events.emit("admit", req.arrival_us, rid=rid,
-                                 seq_len=req.seq_len, tenant=req.client,
-                                 deadline_us=deadline)
-            try:
-                self._queue.put(req)
-            except Exception:  # QueueFullError propagates to the caller
-                if self.events.enabled:
-                    self.events.emit("reject", req.arrival_us, rid=rid,
-                                     seq_len=req.seq_len, tenant=req.client,
-                                     deadline_us=deadline, slo_met=(
-                                         False if deadline is not None
-                                         else None),
-                                     detail="queue_full")
-                raise
-            if self.events.enabled:
-                self.events.emit("enqueue", req.arrival_us, rid=rid,
-                                 seq_len=req.seq_len)
-            self._futures[rid] = fut
-            self._work.notify()
-        return fut
-
-    @property
-    def depth(self) -> int:
-        """Current queue depth."""
-        return self._queue.depth
+        self.core.reject(dropped, self.core.now_us(), "shutdown_drop")
+        self.core.queue.close()
 
     def metrics_text(self) -> str:
         """The live metrics as one Prometheus exposition page (scrapable)."""
-        with self._work:
-            # Engine threads share this process's plan cache: one source.
-            self.metrics.observe_plan_cache(PLAN_CACHE.stats(),
-                                            source="server")
-            return prometheus_text(self.metrics)
+        # Engine threads share this process's plan cache: one source.
+        self.core.observe_plan_cache(PLAN_CACHE.stats(), source="server")
+        return self.core.metrics_text()
 
     # ---- worker loop ------------------------------------------------------
 
     def _worker_loop(self, w_idx: int, worker: EngineWorker) -> None:
-        while True:
-            with self._work:
-                batch = None
-                while batch is None:
-                    now = self._now_us()
-                    batch = self._batcher.pop_batch(
-                        self._queue, now, flush=not self._running)
-                    if batch is not None:
-                        break
-                    if not self._running:
-                        return  # drained
-                    deadline = self._batcher.next_deadline_us(self._queue)
-                    timeout = None if deadline is None else max(
-                        1e-4, (deadline - now) / 1e6)
-                    self._work.wait(timeout)
-            start = self._now_us()
-            results, service_us = worker.process(batch)
-            finish = start + service_us
-            with self._work:  # registry/tracer storage is not thread-safe
-                self.metrics.observe_batch(batch.size, batch.bucket, start)
-                if self.tracer.enabled:
-                    trace_batch(self.tracer, batch, worker.engine.name,
-                                w_idx, start, finish, results)
-                if self.events.enabled:
-                    self.events.emit("batch_formed", start,
-                                     batch_id=batch.batch_id,
-                                     bucket=batch.bucket, size=batch.size)
-                    self.events.emit("dispatch", start,
-                                     batch_id=batch.batch_id,
-                                     bucket=batch.bucket, size=batch.size,
-                                     replica=w_idx)
-            for req, res in zip(batch.requests, results):
-                resp = Response(
-                    rid=req.rid, status=ResponseStatus.OK,
-                    arrival_us=req.arrival_us, start_us=start,
-                    finish_us=finish, service_us=service_us,
-                    batch_id=batch.batch_id, batch_size=batch.size,
-                    bucket=batch.bucket, seq_len=req.seq_len,
-                    client=req.client, replica=w_idx,
-                    deadline_us=req.deadline_us, output=res.output,
-                )
-                with self._work:
-                    fut = self._futures.pop(req.rid, None)
-                    self.metrics.observe_response(resp)
-                    if self.events.enabled:
-                        self.events.emit(
-                            "complete", finish, rid=req.rid,
-                            batch_id=batch.batch_id, bucket=batch.bucket,
-                            seq_len=req.seq_len, tenant=req.client,
-                            replica=w_idx, deadline_us=req.deadline_us,
-                            slo_met=resp.slo_met)
-                if fut is not None:
-                    fut.set_result(resp)
+        core = self.core
+        while (batch := core.next_batch()) is not None:
+            start = core.now_us()
+            core.dispatch(batch, start, w_idx)
+            try:
+                results, service_us = worker.process(batch)
+            except Exception as exc:  # the batch fails; the worker lives on
+                core.reject(batch.requests, core.now_us(), "batch_error",
+                            f"{type(exc).__name__}: {exc}")
+                continue
+            core.complete(batch, w_idx, start, service_us,
+                          [res.output for res in results], results)

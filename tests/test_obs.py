@@ -47,7 +47,8 @@ from repro.serving import (
     make_slo_policy,
     run_loadgen,
 )
-from repro.serving.loadgen import build_engine, build_payloads
+from repro.serving.loadgen import build_engine, build_payloads, serving_setup
+from repro.serving.pool import build_pool_server, drive_server
 
 _TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -471,16 +472,32 @@ class TestFlightRecorder:
         assert counts.get("complete", 0) + counts.get("reject", 0) == 30
 
     def test_lifecycle_invariant_across_worker_counts(self):
-        # Worker count changes placement and finish times, never a
-        # request's lifecycle: same admitted rids, same per-rid event
+        # Worker count and backend change placement and finish times, never
+        # a request's lifecycle: same admitted rids, same per-rid event
         # kinds, same terminal kind (the cross-worker log invariant the
-        # canonical sort is designed around).
+        # canonical sort is designed around). The queue (depth 64) holds
+        # the whole 30-request mix, so no backend rejects.
+        spec = _small_spec()
         logs = {w: self._events_for(workers=w) for w in (1, 2, 4)}
+        engine, payloads, _, policy = serving_setup(spec)
+        logs["thread"] = EventLog()
+        with AsyncServer([engine, build_engine(spec)], policy,
+                         max_batch=spec.max_batch,
+                         max_wait_us=spec.max_wait_us,
+                         max_depth=spec.max_depth,
+                         events=logs["thread"]) as server:
+            drive_server(server, spec, payloads)
+        logs["pool"] = EventLog()
+        server, payloads, _, _ = build_pool_server(spec, 2,
+                                                   events=logs["pool"])
+        with server:
+            drive_server(server, spec, payloads)
         rids = {w: log.rids() for w, log in logs.items()}
-        assert rids[1] == rids[2] == rids[4]
+        assert all(r == list(range(30)) for r in rids.values())
         for rid in rids[1]:
             cycles = {w: log.lifecycle(rid) for w, log in logs.items()}
-            assert cycles[1] == cycles[2] == cycles[4]
+            assert all(c == ["admit", "enqueue", "complete"]
+                       for c in cycles.values()), (rid, cycles)
 
     def test_rejections_emit_reject_events(self):
         events = self._events_for(rate_per_s=200_000.0, num_requests=40,

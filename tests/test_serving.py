@@ -1,5 +1,6 @@
 """Serving layer: queue ordering, bucketing, batching, scheduling, metrics."""
 
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.config import small_config
 from repro.eval.format import percentile_rows
 from repro.eval.metrics import percentile
+from repro.obs import EventLog
 from repro.runtime import EncoderWeights, ETEngine, TensorRTLikeEngine
 from repro.serving import (
     AsyncServer,
@@ -15,15 +17,16 @@ from repro.serving import (
     DynamicBatcher,
     EngineWorker,
     LoadgenSpec,
+    PoolServer,
     QueueFullError,
     Request,
     RequestQueue,
     ResponseStatus,
     Scheduler,
-    SchedulerConfig,
     make_policy,
     run_loadgen,
 )
+from repro.serving.loadgen import serving_setup
 
 
 def _req(rid, seq_len=16, arrival=0.0, priority=0, d_model=8):
@@ -265,11 +268,10 @@ class TestSchedulerAndLoadgen:
         batcher = DynamicBatcher(pol, max_batch=4, max_wait_us=0.0)
         xs = [rng.standard_normal((16, serve_cfg.d_model))]
         reqs = [Request(rid=i, x=xs[0], arrival_us=0.0) for i in range(3)]
-        plain = Scheduler([EngineWorker(eng)], batcher,
-                          SchedulerConfig()).run(reqs)
+        plain = Scheduler([EngineWorker(eng)], batcher).run(reqs)
         batcher2 = DynamicBatcher(pol, max_batch=4, max_wait_us=0.0)
-        memo = Scheduler([EngineWorker(eng, memoize_by_len=True)], batcher2,
-                         SchedulerConfig()).run(reqs)
+        memo = Scheduler([EngineWorker(eng, memoize_by_len=True)],
+                         batcher2).run(reqs)
         for a, b in zip(plain, memo):
             assert a.service_us == pytest.approx(b.service_us)
             np.testing.assert_allclose(a.output, b.output)
@@ -307,6 +309,132 @@ class TestAsyncServerSmoke:
         with AsyncServer(engines, pol) as server:
             with pytest.raises(ValueError):
                 server.submit(rng.standard_normal((64, serve_cfg.d_model)))
+
+
+def _bitwise(a, b) -> bool:
+    return (a is not None and a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def _live_server(kind, events, max_wait_us=200_000.0):
+    """One small ET backend that batches two same-length requests at once."""
+    engine, _, _, policy = serving_setup(_small_loadgen_spec(workers=1))
+    kw = dict(max_batch=2, max_wait_us=max_wait_us, events=events)
+    if kind == "thread":
+        return AsyncServer([engine], policy, **kw), engine
+    return PoolServer(engine, policy, n_workers=1, **kw), engine
+
+
+class TestFaultContainment:
+    """A bad request or a failing batch fails alone; the backend serves on."""
+
+    def _payloads(self, engine):
+        rng = np.random.default_rng(11)
+        d = engine.weights.config.d_model
+        good = [rng.standard_normal((16, d)) for _ in range(3)]
+        bad = {"width": np.zeros((32, d + 1)),
+               "nan": np.full((16, d), np.nan)}
+        return good, bad
+
+    @pytest.mark.parametrize("kind", ["thread", "pool"])
+    def test_invalid_members_fail_alone(self, kind):
+        events = EventLog()
+        server, engine = _live_server(kind, events)
+        good, bad = self._payloads(engine)
+        with server:
+            first = server.submit(good[0])
+            with pytest.raises(ValueError, match=r"expected \(s, "):
+                server.submit(bad["width"])
+            with pytest.raises(ValueError, match="non-finite"):
+                server.submit(bad["nan"])
+            second = server.submit(good[1])
+            mates = [f.result(timeout=120.0) for f in (first, second)]
+            after = server.submit(good[2]).result(timeout=120.0)
+        assert all(r.ok for r in mates + [after])
+        assert mates[0].batch_id == mates[1].batch_id
+        assert mates[0].batch_size == 2
+        for resp, x in zip(mates + [after], good):
+            assert _bitwise(resp.output, engine.run(x).output)
+        assert events.unterminated() == []
+        rejects = [e for e in events.sorted_events() if e.kind == "reject"]
+        assert [e.detail for e in rejects] == ["invalid_input"] * 2
+        for e in rejects:
+            assert events.lifecycle(e.rid) == ["admit", "reject"]
+
+    def test_invalid_members_fail_alone_in_virtual_time(self):
+        spec = _small_loadgen_spec(workers=1)
+        engine, _, _, policy = serving_setup(spec)
+        good, bad = self._payloads(engine)
+        xs = [good[0], bad["width"], bad["nan"], good[1]]
+        events = EventLog()
+        sched = Scheduler([EngineWorker(engine)],
+                          DynamicBatcher(policy, max_batch=2), events=events)
+        out = sched.run([Request(rid=i, x=x, arrival_us=float(i))
+                         for i, x in enumerate(xs)])
+        assert [r.ok for r in out] == [True, False, False, True]
+        assert [r.detail for r in out] == [None, "invalid_input",
+                                           "invalid_input", None]
+        assert out[0].batch_id == out[3].batch_id
+        for i in (0, 3):
+            assert _bitwise(out[i].output, engine.run(xs[i]).output)
+        assert events.unterminated() == []
+
+    @pytest.mark.parametrize("kind", ["thread", "pool"])
+    def test_batch_error_rejects_members_and_worker_lives(self, kind,
+                                                          monkeypatch):
+        events = EventLog()
+        server, engine = _live_server(kind, events)
+        good, _ = self._payloads(engine)
+        fired = []
+        if kind == "thread":
+            real = engine.run_batch
+
+            def run_batch(*args, **kwargs):
+                if not fired:
+                    fired.append(True)
+                    raise RuntimeError("injected fault")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "run_batch", run_batch)
+        else:  # the replica's engine is out of reach: corrupt one task
+            real_task = server._make_task
+
+            def make_task(batch):
+                task = real_task(batch)
+                if fired:
+                    return task
+                fired.append(True)
+                return dataclasses.replace(task, payloads=[0] * batch.size)
+
+            monkeypatch.setattr(server, "_make_task", make_task)
+        with server:
+            failed = [server.submit(x) for x in good[:2]]
+            failed = [f.result(timeout=120.0) for f in failed]
+            after = server.submit(good[2]).result(timeout=120.0)
+        assert fired
+        assert all(r.status is ResponseStatus.REJECTED for r in failed)
+        assert all(r.detail == "batch_error" for r in failed)
+        assert "injected fault" in failed[0].error or \
+            "payload length" in failed[0].error
+        assert after.ok and _bitwise(after.output, engine.run(good[2]).output)
+        assert events.unterminated() == []
+        assert [e.detail for e in events.sorted_events()
+                if e.kind == "reject"] == ["batch_error"] * 2
+
+    @pytest.mark.parametrize("kind", ["thread", "pool"])
+    def test_no_drain_stop_rejects_queued_requests(self, kind):
+        # Two half-full buckets with a 60 s batching window: nothing is
+        # dispatched before stop, so a no-drain stop must drop both.
+        events = EventLog()
+        server, engine = _live_server(kind, events, max_wait_us=60e6)
+        d = engine.weights.config.d_model
+        server.start()
+        futures = [server.submit(np.ones((s, d))) for s in (16, 48)]
+        server.stop(drain=False)
+        responses = [f.result(timeout=60.0) for f in futures]
+        assert [r.detail for r in responses] == ["shutdown_drop"] * 2
+        assert not any(r.ok for r in responses)
+        assert events.unterminated() == []
 
 
 class TestCLIServing:
